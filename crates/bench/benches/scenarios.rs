@@ -14,8 +14,8 @@
 //!
 //! Schedules are asserted bit-identical between sequential and sharded
 //! before any number is reported. Results land in the `"scenarios"`
-//! section of `BENCH_schedule.json` (the `"staged"` section written by
-//! the staged bench is preserved); `speedup_cache` isolates cache
+//! section of `BENCH_schedule.json` (the sections written by the other
+//! benches are preserved); `speedup_cache` isolates cache
 //! amortization (machine-independent), `speedup_threads` isolates
 //! thread scaling (1.0 on a single-core container, grows with cores),
 //! and `speedup_total` is the product the reconfiguration loop actually

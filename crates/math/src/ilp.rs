@@ -31,9 +31,8 @@ pub enum IlpOutcome {
 /// Default branch-and-bound node budget.
 const MAX_NODES: usize = 50_000;
 
-/// Cumulative solver-effort counters, used to measure how much work the
-/// warm-started entry points ([`ilp_minimize_seeded`], [`ilp_lexmin_warm`])
-/// save over their cold counterparts.
+/// Cumulative solver-effort counters of [`ilp_lexmin`] (LP stages, branch
+/// and bound, seeding, dual-simplex pins).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IlpStats {
     /// Branch-and-bound nodes explored (each node solves a fresh LP from
@@ -97,28 +96,15 @@ impl IlpStats {
 /// }
 /// ```
 pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> IlpOutcome {
-    ilp_minimize_seeded(cs, obj, None, &mut IlpStats::default())
+    ilp_minimize_impl(cs, obj, None, None, None, &mut IlpStats::default())
 }
 
-/// [`ilp_minimize`] with a warm start: when `seed` is a feasible integer
-/// point of `cs`, it becomes the initial incumbent, so branch and bound
-/// starts with an upper bound and prunes from the first node (a MIP
-/// start). An infeasible or ill-sized seed is silently ignored.
-///
-/// Solver effort is accumulated into `stats`.
-pub fn ilp_minimize_seeded(
-    cs: &ConstraintSystem,
-    obj: &[i64],
-    seed: Option<&[i64]>,
-    stats: &mut IlpStats,
-) -> IlpOutcome {
-    ilp_minimize_impl(cs, obj, seed, None, None, stats)
-}
-
-/// Full branch and bound. `lower_bound` is an optional proven objective
-/// lower bound (e.g. the ceiling of the LP relaxation's optimum): the
-/// search stops as soon as an incumbent attains it. `root_lp` optionally supplies an
-/// already-computed LP optimum of the root relaxation (value and
+/// Full branch and bound. A feasible integer `seed` becomes the initial
+/// incumbent, so the search prunes from the first node (a MIP start); an
+/// infeasible or ill-sized seed is silently ignored. `lower_bound` is an
+/// optional proven objective lower bound (e.g. the ceiling of the LP
+/// relaxation's optimum): the search stops as soon as an incumbent
+/// attains it. `root_lp` optionally supplies an already-computed LP optimum of the root relaxation (value and
 /// vertex), skipping the root solve. A fractional externally-supplied
 /// vertex is sound to branch on even though the root system is
 /// integer-tightened afterwards: the floor/ceil branches cover every
@@ -281,49 +267,15 @@ pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
 /// This mirrors how Pluto (via PIP) selects schedule coefficients: the
 /// objective sequence is typically `(u, w, Σ coeffs, coeff₀, coeff₁, …)`.
 ///
-/// Returns `None` when the system is infeasible or some objective is
-/// unbounded below (callers bound their variables, so unboundedness
-/// signals a modeling error upstream).
-///
-/// # Examples
-///
-/// ```
-/// use polytops_math::{ilp_lexmin, ConstraintSystem};
-///
-/// // 0 <= x, y <= 3, x + y >= 3: lexmin (x, then y) = (0, 3).
-/// let mut cs = ConstraintSystem::new(2);
-/// cs.add_ineq(vec![1, 0, 0]);
-/// cs.add_ineq(vec![-1, 0, 3]);
-/// cs.add_ineq(vec![0, 1, 0]);
-/// cs.add_ineq(vec![0, -1, 3]);
-/// cs.add_ineq(vec![1, 1, -3]);
-/// let point = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
-/// assert_eq!(point, vec![0, 3]);
-/// ```
-pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Option<Vec<i64>> {
-    ilp_lexmin_stats(cs, objectives, &mut IlpStats::default())
-}
-
-/// [`ilp_lexmin`] with effort counters but **no** warm starting — the
-/// cold baseline that [`ilp_lexmin_warm`] is benchmarked against.
-pub fn ilp_lexmin_stats(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_cold(cs, objectives, stats)
-}
-
-/// Warm-started lexicographic minimization.
-///
-/// Three mechanisms cut the solver effort relative to [`ilp_lexmin`]:
+/// The solve is warm-started three ways:
 ///
 /// * **incremental simplex** — one [`IncrementalLp`] tableau is built
 ///   (and made feasible) once; each objective stage re-optimizes from
 ///   the previous optimal basis, and pinning an optimum appends a single
-///   equality row and re-pivots only on it. When a stage's LP vertex is
-///   integral it *is* the stage's integer optimum and no branch and
-///   bound runs at all ([`IlpStats::lp_stages`] counts these);
+///   equality row and re-optimizes it with dual-simplex pivots. When a
+///   stage's LP vertex is integral it *is* the stage's integer optimum
+///   and no branch and bound runs at all ([`IlpStats::lp_stages`]
+///   counts these);
 /// * **stage seeding** — when a stage does need branch and bound (a
 ///   fractional vertex), the previous stage's optimum seeds it as the
 ///   initial incumbent;
@@ -332,47 +284,37 @@ pub fn ilp_lexmin_stats(
 ///   pass the previous solve's point as `warm`; it seeds the first
 ///   branch-and-bound fallback whenever it is still feasible.
 ///
-/// Solver effort is accumulated into `stats`, which lets callers report
-/// warm-vs-cold work.
-pub fn ilp_lexmin_warm(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    warm: Option<&[i64]>,
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_warm_impl(cs, objectives, warm, stats, false)
-}
-
-/// [`ilp_lexmin_warm`] with a **canonical-optimum tie-break**: after the
-/// objective cascade, the coordinates themselves are lexicographically
-/// minimized (in variable order), so among all points optimal for the
-/// cascade the *lexicographically smallest coefficient vector* is
-/// returned.
+/// Seeds never change an optimal *value*, but among several optima the
+/// point returned may depend on them. The answer is still a
+/// deterministic function of `(cs, objectives, warm)`. Solver effort is
+/// accumulated into `stats`.
 ///
-/// This makes the answer a pure function of `(cs, objectives)` —
-/// independent of the warm seed, of the shared tableau's pivot history,
-/// and of any branch-and-bound exploration order. That basis
-/// independence is what lets callers share warm seeds across
-/// concurrently solved siblings without giving up bit-determinism (see
-/// `polytops_core::scenario`): a seed can only *accelerate* the solve,
-/// never steer its result. A stage truncated by the node budget is
-/// deterministically re-run unseeded so even pathological systems cannot
-/// leak the seed into the answer.
-pub fn ilp_lexmin_canonical(
+/// Returns `None` when the system is infeasible or some objective is
+/// unbounded below (callers bound their variables, so unboundedness
+/// signals a modeling error upstream). A stage truncated by the node
+/// budget is pinned at its best incumbent (still a feasible point).
+///
+/// # Examples
+///
+/// ```
+/// use polytops_math::{ilp_lexmin, ConstraintSystem, IlpStats};
+///
+/// // 0 <= x, y <= 3, x + y >= 3: lexmin (x, then y) = (0, 3).
+/// let mut cs = ConstraintSystem::new(2);
+/// cs.add_ineq(vec![1, 0, 0]);
+/// cs.add_ineq(vec![-1, 0, 3]);
+/// cs.add_ineq(vec![0, 1, 0]);
+/// cs.add_ineq(vec![0, -1, 3]);
+/// cs.add_ineq(vec![1, 1, -3]);
+/// let mut stats = IlpStats::default();
+/// let point = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]], None, &mut stats).unwrap();
+/// assert_eq!(point, vec![0, 3]);
+/// ```
+pub fn ilp_lexmin(
     cs: &ConstraintSystem,
     objectives: &[Vec<i64>],
     warm: Option<&[i64]>,
     stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_warm_impl(cs, objectives, warm, stats, true)
-}
-
-fn lexmin_warm_impl(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    warm: Option<&[i64]>,
-    stats: &mut IlpStats,
-    canonical: bool,
 ) -> Option<Vec<i64>> {
     let n = cs.num_vars();
     // Normalize once (gcd tightening, dedup, subsumption) — the same
@@ -390,22 +332,7 @@ fn lexmin_warm_impl(
     let mut hint: Option<Vec<i64>> = warm
         .filter(|p| p.len() == n && cs.contains_point(p))
         .map(<[i64]>::to_vec);
-    let mut last_point: Option<Vec<i64>> = None;
-    // The canonical tie-break is itself a lexmin cascade: unit
-    // objectives over every variable in order, appended after the
-    // caller's objectives.
-    let canon_objs: Vec<Vec<i64>> = if canonical {
-        (0..n)
-            .map(|j| {
-                let mut e = vec![0i64; n];
-                e[j] = 1;
-                e
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    for obj in objectives.iter().chain(&canon_objs) {
+    for obj in objectives {
         assert_eq!(obj.len(), n, "objective length mismatch");
         // Stage attempt 1: pure LP re-optimization. An integral optimal
         // vertex of the relaxation is the integer optimum of the stage;
@@ -452,36 +379,11 @@ fn lexmin_warm_impl(
         let (value, point) = match stage_point {
             Some(vp) => vp,
             None => {
-                match ilp_minimize_impl(
-                    &cur,
-                    obj,
-                    hint.as_deref(),
-                    stage_lb,
-                    stage_root.clone(),
-                    stats,
-                ) {
-                    IlpOutcome::Optimal { value, point } => (value, point),
-                    IlpOutcome::NodeLimit {
+                match ilp_minimize_impl(&cur, obj, hint.as_deref(), stage_lb, stage_root, stats) {
+                    IlpOutcome::Optimal { value, point }
+                    | IlpOutcome::NodeLimit {
                         best: Some((value, point)),
-                    } => {
-                        if canonical && hint.is_some() {
-                            // A truncated stage reports its best
-                            // incumbent, which the seed may have steered.
-                            // Canonical mode re-runs the stage unseeded:
-                            // the deterministic exploration order makes
-                            // the (still best-effort) answer a function
-                            // of the system alone.
-                            match ilp_minimize_impl(&cur, obj, None, stage_lb, stage_root, stats) {
-                                IlpOutcome::Optimal { value, point }
-                                | IlpOutcome::NodeLimit {
-                                    best: Some((value, point)),
-                                } => (value, point),
-                                _ => return None,
-                            }
-                        } else {
-                            (value, point)
-                        }
-                    }
+                    } => (value, point),
                     _ => return None,
                 }
             }
@@ -497,59 +399,13 @@ fn lexmin_warm_impl(
             lp_alive = lp.pin_eq(&row);
         }
         cur.add_eq(row);
-        // In canonical mode, keep a warm point that also attains this
-        // stage's optimum (it is still feasible after the pin): a
-        // sibling's exact canonical answer then short-circuits every
-        // remaining branch-and-bound stage at zero nodes. The answer is
-        // seed-independent either way; retention only skips work. The
-        // plain warm path keeps its historical fall-forward seeding so
-        // its (deterministic, history-dependent) answers do not shift.
-        let keep_hint = canonical && hint.as_ref().is_some_and(|h| cur.contains_point(h));
-        if !keep_hint {
-            hint = Some(point.clone());
-        }
-        last_point = Some(point);
+        // Each stage's optimum seeds the next stage's branch and bound,
+        // and the last one is the answer.
+        hint = Some(point);
     }
     stats.dual_pivots += lp.dual_pivots();
     stats.phase1_passes += lp.phase1_passes();
-    match last_point {
-        Some(p) => Some(p),
-        None => hint.or_else(|| ilp_feasible_point(&cur)),
-    }
-}
-
-/// The cold lexicographic loop shared by [`ilp_lexmin`] and
-/// [`ilp_lexmin_stats`]: one full branch-and-bound run per objective, no
-/// seeding, no shared basis.
-fn lexmin_cold(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    let n = cs.num_vars();
-    let mut cur = cs.clone();
-    let mut last_point: Option<Vec<i64>> = None;
-    for obj in objectives {
-        assert_eq!(obj.len(), n, "objective length mismatch");
-        match ilp_minimize_seeded(&cur, obj, None, stats) {
-            IlpOutcome::Optimal { value, point }
-            | IlpOutcome::NodeLimit {
-                best: Some((value, point)),
-            } => {
-                // Pin the objective at its optimum (best-effort for a
-                // truncated run: the incumbent is still a legal point).
-                let mut row = obj.clone();
-                row.push(-value);
-                cur.add_eq(row);
-                last_point = Some(point);
-            }
-            _ => return None,
-        }
-    }
-    match last_point {
-        Some(p) => Some(p),
-        None => ilp_feasible_point(&cur),
-    }
+    hint.or_else(|| ilp_feasible_point(&cur))
 }
 
 /// Conservatively decides whether `row` (an inequality `a·x + c >= 0`) is
@@ -568,6 +424,10 @@ pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Option<Vec<i64>> {
+        ilp_lexmin(cs, objectives, None, &mut IlpStats::default())
+    }
 
     #[test]
     fn integer_rounding_up() {
@@ -628,7 +488,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, 0]);
         cs.add_ineq(vec![0, -1, 2]);
         cs.add_ineq(vec![1, 1, -2]);
-        let p = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
+        let p = lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
         assert_eq!(p, vec![0, 2]);
     }
 
@@ -640,7 +500,7 @@ mod tests {
             cs.add_ineq(r);
         }
         cs.add_ineq(vec![1, 1, -1]); // x + y >= 1
-        let p = ilp_lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap();
+        let p = lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap();
         assert_eq!(p, vec![0, 1]);
     }
 
@@ -649,7 +509,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -5]);
         cs.add_ineq(vec![-1, 2]);
-        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), None);
+        assert_eq!(lexmin(&cs, &[vec![1]]), None);
     }
 
     #[test]
@@ -661,9 +521,9 @@ mod tests {
         cs.add_ineq(vec![0, 1, 0]);
         let mut cold = IlpStats::default();
         let mut warm = IlpStats::default();
-        let c = ilp_minimize_seeded(&cs, &[1, 1], None, &mut cold);
+        let c = ilp_minimize_impl(&cs, &[1, 1], None, None, None, &mut cold);
         // Seed with the known optimum (2, 1).
-        let w = ilp_minimize_seeded(&cs, &[1, 1], Some(&[2, 1]), &mut warm);
+        let w = ilp_minimize_impl(&cs, &[1, 1], Some(&[2, 1]), None, None, &mut warm);
         let value = |o: &IlpOutcome| match o {
             IlpOutcome::Optimal { value, .. } => *value,
             other => panic!("unexpected {other:?}"),
@@ -683,7 +543,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -3]); // x >= 3
         let mut stats = IlpStats::default();
-        let out = ilp_minimize_seeded(&cs, &[1], Some(&[0]), &mut stats);
+        let out = ilp_minimize_impl(&cs, &[1], Some(&[0]), None, None, &mut stats);
         assert_eq!(stats.seeds_accepted, 0);
         match out {
             IlpOutcome::Optimal { value, .. } => assert_eq!(value, 3),
@@ -696,7 +556,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -3]);
         let mut stats = IlpStats::default();
-        let out = ilp_minimize_seeded(&cs, &[0], Some(&[5]), &mut stats);
+        let out = ilp_minimize_impl(&cs, &[0], Some(&[5]), None, None, &mut stats);
         assert_eq!(stats.seed_shortcuts, 1);
         assert_eq!(stats.nodes, 0);
         assert_eq!(
@@ -719,9 +579,9 @@ mod tests {
         cs.add_ineq(vec![1, 1, -2]);
         let objectives = [vec![1, 0], vec![0, 1]];
         let mut cold = IlpStats::default();
-        let p_cold = ilp_lexmin_warm(&cs, &objectives, None, &mut cold).unwrap();
+        let p_cold = ilp_lexmin(&cs, &objectives, None, &mut cold).unwrap();
         let mut warm = IlpStats::default();
-        let p_warm = ilp_lexmin_warm(&cs, &objectives, Some(&[1, 1]), &mut warm).unwrap();
+        let p_warm = ilp_lexmin(&cs, &objectives, Some(&[1, 1]), &mut warm).unwrap();
         assert_eq!(p_cold, vec![0, 2]);
         assert_eq!(p_warm, p_cold);
         assert!(warm.nodes <= cold.nodes);
@@ -738,7 +598,7 @@ mod tests {
         cs.add_ineq(vec![-4, -1, 4]);
         cs.add_ineq(vec![-1, -4, 4]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![-1, -1]], None, &mut stats).unwrap();
+        let p = ilp_lexmin(&cs, &[vec![-1, -1]], None, &mut stats).unwrap();
         assert_eq!(p[0] + p[1], 1, "integer optimum of x + y is 1: {p:?}");
         assert_eq!(stats.fractional_stages, 1, "{stats:?}");
 
@@ -747,7 +607,7 @@ mod tests {
         cs.add_ineq(vec![1, -3]);
         cs.add_ineq(vec![-1, 5]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats).unwrap();
+        let p = ilp_lexmin(&cs, &[vec![1]], None, &mut stats).unwrap();
         assert_eq!(p, vec![3]);
         assert_eq!(stats.fractional_stages, 0, "{stats:?}");
     }
@@ -795,7 +655,7 @@ mod tests {
         cs.add_ineq(vec![-1, -4, 0, 4]); // x + 4y <= 4
         let objectives = [vec![-1, -1, 0], vec![0, 0, 1]];
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &objectives, None, &mut stats).unwrap();
+        let p = ilp_lexmin(&cs, &objectives, None, &mut stats).unwrap();
         assert_eq!(p[0] + p[1], 1, "integer max of x + y is 1: {p:?}");
         assert_eq!(p[2], 0);
         assert_eq!(stats.fractional_stages, 1, "{stats:?}");
@@ -805,45 +665,6 @@ mod tests {
             stats.lp_stages >= 1,
             "the post-fractional stage must resolve on the LP path: {stats:?}"
         );
-    }
-
-    #[test]
-    fn canonical_lexmin_is_seed_independent() {
-        // After minimizing x + y over the box-bounded half-plane
-        // x + y >= 2, many optima remain; the canonical tie-break must
-        // pick the lexicographically smallest one no matter the seed.
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![-1, 0, 4]);
-        cs.add_ineq(vec![0, 1, 0]);
-        cs.add_ineq(vec![0, -1, 4]);
-        cs.add_ineq(vec![1, 1, -2]);
-        let objectives = [vec![1, 1]];
-        let mut stats = IlpStats::default();
-        let unseeded = ilp_lexmin_canonical(&cs, &objectives, None, &mut stats).unwrap();
-        assert_eq!(unseeded, vec![0, 2], "lexicographically smallest optimum");
-        for seed in [[2, 0], [1, 1], [0, 2], [4, 4]] {
-            let mut stats = IlpStats::default();
-            let seeded = ilp_lexmin_canonical(&cs, &objectives, Some(&seed), &mut stats).unwrap();
-            assert_eq!(seeded, unseeded, "seed {seed:?} steered the result");
-        }
-    }
-
-    #[test]
-    fn canonical_agrees_with_warm_when_the_optimum_is_unique() {
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![-1, 0, 2]);
-        cs.add_ineq(vec![0, 1, 0]);
-        cs.add_ineq(vec![0, -1, 2]);
-        cs.add_ineq(vec![1, 1, -2]);
-        let objectives = [vec![1, 0], vec![0, 1]];
-        let mut s1 = IlpStats::default();
-        let mut s2 = IlpStats::default();
-        let warm = ilp_lexmin_warm(&cs, &objectives, None, &mut s1).unwrap();
-        let canon = ilp_lexmin_canonical(&cs, &objectives, None, &mut s2).unwrap();
-        assert_eq!(warm, canon);
-        assert_eq!(warm, vec![0, 2]);
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl Tableau {
 /// the appended row.
 ///
 /// This is the warm-start engine of
-/// [`ilp_lexmin_warm`](crate::ilp_lexmin_warm): the lexicographic
+/// [`ilp_lexmin`](crate::ilp_lexmin): the lexicographic
 /// objective cascade re-uses one basis instead of rebuilding and
 /// re-solving the whole system per objective.
 ///

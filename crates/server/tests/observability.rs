@@ -236,14 +236,15 @@ fn router_stats_carry_per_shard_forwarding_telemetry() {
     assert_eq!(top["router"].as_bool(), Some(true));
     let obs = top["obs"].as_object().expect("router obs section");
     let counters = obs["counters"].as_object().unwrap();
-    let forwarded: i64 = (0..2)
+    let per_shard: Vec<i64> = (0..2)
         .map(|i| {
             counters
                 .get(&format!("router.shard{i}.requests"))
                 .and_then(Json::as_int)
                 .unwrap_or(0)
         })
-        .sum();
+        .collect();
+    let forwarded: i64 = per_shard.iter().sum();
     assert_eq!(
         forwarded,
         kernels.len() as i64,
@@ -254,8 +255,15 @@ fn router_stats_carry_per_shard_forwarding_telemetry() {
     assert_eq!(fleet["count"].as_int(), Some(kernels.len() as i64));
 
     // The router stamped each forwarded envelope with a trace id, so
-    // the shards' span trees adopted router-issued ids.
-    let mut direct = Client::connect(shard_a.addr()).expect("connect shard");
+    // the shards' span trees adopted router-issued ids. Ring positions
+    // hash the shards' ephemeral addresses, so either shard may have
+    // served every request: ask one whose forward counter is nonzero.
+    let busy = per_shard
+        .iter()
+        .position(|&n| n > 0)
+        .expect("some shard served requests");
+    let served = [&shard_a, &shard_b][busy];
+    let mut direct = Client::connect(served.addr()).expect("connect shard");
     let trace = direct
         .roundtrip(r#"{"op":"trace"}"#)
         .expect("shard trace op");
